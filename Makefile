@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test bench bench-smoke bench-regression bench-baseline bench-scaling bench-parallel bench-serving bench-columnar bench-transport parallel-check steal-check shm-check obs-check serve-check slo-check ci
+.PHONY: test bench bench-smoke bench-regression bench-baseline bench-scaling bench-parallel bench-serving bench-columnar bench-transport parallel-check steal-check shm-check obs-check serve-check slo-check perfbench-smoke ci
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -108,6 +108,17 @@ bench-transport:
 bench-scaling:
 	$(PYTHON) -m benchmarks.scaling --smoke
 
+# Repo-benchmark smoke: each perfbench workload shrunk to seconds
+# (--tiny), untraced.  run.py exits non-zero when a call's outputs fail
+# their checks (load: txs_included == txs_submitted and every frame
+# accounted for; serving: every arrival answered) or its metrics digest
+# differs from the warm-up call's or, on the pool workload, from an
+# inline call's.
+perfbench-smoke:
+	for workload in load-100k load-100k-w2 serve-2k-knee; do \
+		$(PYTHON) perfbench/run.py --workload $$workload --tiny --seconds 1 --trace 0 || exit 1; \
+	done
+
 # Everything a merge must pass, in one target.  bench-scaling's smoke
 # mode includes the workers tier (10k agents, workers={2,4} equivalence
 # asserts) and the shard-balance tier (equal vs weighted plans, steal
@@ -115,5 +126,6 @@ bench-scaling:
 # equivalence; steal-check pins the stealing layer's byte-equivalence
 # and exactly-once accounting; shm-check pins the shared-memory
 # transport's byte-equivalence and segment hygiene; bench-columnar pins
-# the columnar/object byte-equivalence contract.
-ci: test bench-smoke bench-scaling bench-columnar parallel-check steal-check shm-check obs-check serve-check slo-check
+# the columnar/object byte-equivalence contract; perfbench-smoke runs
+# the repo benchmark's output and digest checks on every workload.
+ci: test bench-smoke bench-scaling bench-columnar parallel-check steal-check shm-check obs-check serve-check slo-check perfbench-smoke

@@ -195,25 +195,33 @@ class DAO:
         A delegate's ballot carries the scheme weight of every member
         who terminally resolves to them and did not vote directly; a
         direct ballot always overrides its caster's delegation.
+
+        Only a member with an outgoing delegation edge can carry weight,
+        so the tally visits just those members: O(d log d + b) for d
+        delegators and b ballots, independent of the roll size.  The
+        float sum order is fixed: carried weights in roll order (the
+        order of ``members.addresses()``), then direct ballots in cast
+        order — the same bits a walk over the whole roll would give.
         """
         record = self._record(proposal_id)
-        proposal = record.proposal
-        direct_voters = set(record.ballots)
-        weights: Dict[str, float] = {option: 0.0 for option in proposal.options}
+        ballots = record.ballots
+        weight_of = self.scheme.weight_of
+        weights: Dict[str, float] = {
+            option: 0.0 for option in record.proposal.options
+        }
         carried_voters = 0
-        for address in self.members.addresses():
-            if address in direct_voters:
+        for address in self.members.in_roll_order(self.delegations.delegators()):
+            if address in ballots:
                 continue
             terminal = self.delegations.resolve(address)
-            if terminal != address and terminal in direct_voters:
-                ballot = record.ballots[terminal]
-                weights[ballot.option] += self.scheme.weight_of(address)
+            if terminal in ballots:
+                weights[ballots[terminal].option] += weight_of(address)
                 carried_voters += 1
-        for ballot in record.ballots.values():
-            weights[ballot.option] += self.scheme.weight_of(ballot.voter)
+        for ballot in ballots.values():
+            weights[ballot.option] += weight_of(ballot.voter)
         return Tally(
             weights=weights,
-            voters=len(direct_voters) + carried_voters,
+            voters=len(ballots) + carried_voters,
             eligible=len(self.members),
         )
 

@@ -12,7 +12,7 @@ and resolves transitive chains with a hop bound.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, KeysView, List, Optional
 
 from repro.errors import VotingError
 
@@ -56,6 +56,10 @@ class DelegationGraph:
     def revoke(self, member: str) -> bool:
         """Remove ``member``'s delegation; True if one existed."""
         return self._delegate_of.pop(member, None) is not None
+
+    def delegators(self) -> KeysView[str]:
+        """Every member with an outgoing delegation edge (a live view)."""
+        return self._delegate_of.keys()
 
     def delegate_of(self, member: str) -> Optional[str]:
         """Direct delegate (no transitive resolution)."""

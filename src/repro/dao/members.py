@@ -65,19 +65,29 @@ class Member:
 
 
 class MemberRegistry:
-    """Address-keyed membership roll."""
+    """Address-keyed membership roll.
+
+    The roll order is join order; a removed and re-added member moves to
+    the end.  Each member's rank in it is kept alongside, so any subset
+    of the roll can be put in roll order without walking the whole roll.
+    """
 
     def __init__(self) -> None:
         self._members: Dict[str, Member] = {}
+        self._rank: Dict[str, int] = {}
+        self._next_rank = 0
 
     def add(self, member: Member) -> None:
         if member.address in self._members:
             raise DaoError(f"member {member.address[:12]} already registered")
         self._members[member.address] = member
+        self._rank[member.address] = self._next_rank
+        self._next_rank += 1
 
     def remove(self, address: str) -> Member:
         if address not in self._members:
             raise DaoError(f"no member {address[:12]}")
+        del self._rank[address]
         return self._members.pop(address)
 
     def get(self, address: str) -> Member:
@@ -96,6 +106,12 @@ class MemberRegistry:
 
     def addresses(self) -> List[str]:
         return list(self._members)
+
+    def in_roll_order(self, addresses: Iterable[str]) -> List[str]:
+        """The members among ``addresses`` in the order of
+        :meth:`addresses`; non-members are dropped."""
+        rank = self._rank
+        return sorted((a for a in addresses if a in rank), key=rank.__getitem__)
 
     def members(self) -> List[Member]:
         return list(self._members.values())

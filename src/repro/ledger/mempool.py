@@ -375,6 +375,10 @@ class Mempool:
         return list(self._by_id.values())
 
 
+#: Maps each lowercase hex digit ``d`` to ``15 - d``.
+_DESC_HEX = str.maketrans("0123456789abcdef", "fedcba9876543210")
+
+
 def _desc_id(tx_id: str) -> str:
     """Invert a hex tx_id's sort order.
 
@@ -382,4 +386,4 @@ def _desc_id(tx_id: str) -> str:
     popping yields the highest fee with ties broken by *highest* tx_id —
     the same total order the greedy reference uses.
     """
-    return "".join("%x" % (15 - int(ch, 16)) for ch in tx_id)
+    return tx_id.translate(_DESC_HEX)

@@ -26,6 +26,7 @@ runs and stable under population growth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -82,7 +83,8 @@ class SpikeWindow:
 class TrafficConfig:
     """One open-loop traffic scenario.
 
-    ``endpoint_mix`` weights need not sum to 1 (they are normalised);
+    ``endpoint_mix`` weights need not sum to 1 (they are normalised) but
+    must be finite and >= 0 with a positive sum;
     ``invalid_frac`` of write requests are deliberately malformed so the
     validation middleware carries real 400 traffic; ``pareto_shape``
     controls how heavy the per-user tail is (smaller = heavier; must be
@@ -127,6 +129,13 @@ class TrafficConfig:
                 raise ValueError(
                     f"spike at {spike.start} starts beyond horizon {self.horizon}"
                 )
+        weights = [weight for _, weight in self.endpoint_mix]
+        if not all(math.isfinite(w) and w >= 0 for w in weights):
+            raise ValueError(
+                f"endpoint_mix weights must be finite and >= 0, got {weights}"
+            )
+        if not sum(weights) > 0:
+            raise ValueError("endpoint_mix weights must sum to > 0")
 
 
 @dataclass(frozen=True)
@@ -204,18 +213,38 @@ def _arrival_times(
     return times
 
 
+def _choice_cdf(probabilities: Sequence[float]) -> np.ndarray:
+    """The cdf ``Generator.choice(n, p=probabilities)`` draws through:
+    the cumulative sum divided by its last element, computed exactly as
+    numpy does, so ``_pick`` returns the same index from the same one
+    double."""
+    cdf = np.asarray(probabilities, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _pick(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """``int(rng.choice(len(cdf), p=p))`` for ``cdf = _choice_cdf(p)``,
+    without the per-call validation of ``p``."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+_VOTE_OPTIONS = ("yes", "no", "abstain")
+_VOTE_CDF = _choice_cdf([0.5, 0.35, 0.15])
+
+
 def _draw_request(
     rng: np.random.Generator,
     user: int,
     config: TrafficConfig,
     endpoints: Sequence[Endpoint],
-    probabilities: np.ndarray,
+    endpoint_cdf: np.ndarray,
     channels: Sequence[str],
     n_hot: int,
 ) -> Request:
     """One request for ``user``: endpoint from the mix, payload from the
     user's own stream, occasionally malformed on purpose."""
-    endpoint = endpoints[int(rng.choice(len(endpoints), p=probabilities))]
+    endpoint = endpoints[_pick(rng, endpoint_cdf)]
     invalid = (
         endpoint not in (Endpoint.GET_BALANCE, Endpoint.GET_TALLY)
         and config.invalid_frac > 0
@@ -246,9 +275,7 @@ def _draw_request(
             user=user, accused=accused, severity=severity, reason=reason
         )
     if endpoint == Endpoint.CAST_VOTE:
-        option = ("yes", "no", "abstain")[
-            int(rng.choice(3, p=[0.5, 0.35, 0.15]))
-        ]
+        option = _VOTE_OPTIONS[_pick(rng, _VOTE_CDF)]
         if invalid:
             option = "maybe"
         return CastVoteRequest(user=user, option=option)
@@ -267,29 +294,27 @@ def _scenario_tables(config: TrafficConfig) -> Tuple:
     segments = _rate_segments(config.horizon, config.spikes)
     endpoints = tuple(endpoint for endpoint, _ in config.endpoint_mix)
     weights = np.asarray([w for _, w in config.endpoint_mix], dtype=float)
-    if weights.sum() <= 0:
-        raise ValueError("endpoint_mix weights must sum to > 0")
-    probabilities = weights / weights.sum()
+    endpoint_cdf = _choice_cdf(weights / weights.sum())
     channels = tuple(channel for channel, _ in SERVING_CHANNELS)
     n_hot = max(1, (config.n_users + HOT_SUBJECT_STRIDE - 1) // HOT_SUBJECT_STRIDE)
     # Pareto(shape) + 1 has mean shape/(shape-1); dividing by it makes
     # the weights mean-1 in expectation while keeping the heavy tail.
     pareto_mean = config.pareto_shape / (config.pareto_shape - 1.0)
-    return segments, endpoints, probabilities, channels, n_hot, pareto_mean
+    return segments, endpoints, endpoint_cdf, channels, n_hot, pareto_mean
 
 
 def _user_arrivals(
     config: TrafficConfig, user: int, tables: Tuple
 ) -> List[Arrival]:
     """Every arrival of one user — a pure function of (config, user)."""
-    segments, endpoints, probabilities, channels, n_hot, pareto_mean = tables
+    segments, endpoints, endpoint_cdf, channels, n_hot, pareto_mean = tables
     rng = user_stream(config.seed, user)
     weight = (1.0 + float(rng.pareto(config.pareto_shape))) / pareto_mean
     times = _arrival_times(rng, config.rate_per_user * weight, segments)
     arrivals: List[Arrival] = []
     for seq, time in enumerate(times):
         request = _draw_request(
-            rng, user, config, endpoints, probabilities, channels, n_hot
+            rng, user, config, endpoints, endpoint_cdf, channels, n_hot
         )
         arrivals.append(Arrival(
             time=time, user=user, seq=seq, request=request,

@@ -80,3 +80,10 @@ class TestDelegation:
         graph.delegate("a", "b")
         graph.delegate("c", "b")
         assert len(graph) == 2
+
+    def test_delegators_are_members_with_an_edge(self):
+        graph = DelegationGraph()
+        graph.delegate("a", "b")
+        graph.delegate("c", "b")
+        graph.revoke("a")
+        assert sorted(graph.delegators()) == ["c"]

@@ -89,3 +89,14 @@ class TestRegistry:
         registry.add(Member(address="b"))
         assert len(registry) == 2
         assert {m.address for m in registry} == {"a", "b"}
+
+    def test_in_roll_order_follows_join_order(self):
+        registry = MemberRegistry()
+        for address in ("a", "b", "c"):
+            registry.add(Member(address=address))
+        registry.remove("a")
+        registry.add(Member(address="a"))
+        # A re-joined member moves to the end; non-members are dropped.
+        assert registry.addresses() == ["b", "c", "a"]
+        assert registry.in_roll_order(["a", "x", "c", "b"]) == ["b", "c", "a"]
+        assert registry.in_roll_order([]) == []

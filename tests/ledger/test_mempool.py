@@ -1,8 +1,11 @@
 """Tests for the mempool."""
 
+import hashlib
+
 import pytest
 
 from repro.ledger import LedgerState, Mempool, Wallet
+from repro.ledger.mempool import _desc_id
 
 
 @pytest.fixture
@@ -117,3 +120,15 @@ class TestPruning:
         removed = pool.prune_included([stx.tx_id, "ab" * 32])
         assert removed == 1
         assert len(pool) == 0
+
+
+class TestDescId:
+    @staticmethod
+    def per_digit(tx_id):
+        return "".join("%x" % (15 - int(ch, 16)) for ch in tx_id)
+
+    def test_matches_per_digit_complement(self):
+        ids = [hashlib.sha256(str(n).encode()).hexdigest() for n in range(500)]
+        ids += ["0" * 64, "f" * 64, "0123456789abcdef" * 4]
+        for tx_id in ids:
+            assert _desc_id(tx_id) == self.per_digit(tx_id)

@@ -1,12 +1,16 @@
 """Tests for the open-loop traffic generator."""
 
+import hashlib
 
+import numpy as np
 import pytest
 
 from repro.serving.schemas import Endpoint
 from repro.workloads.traffic import (
     SpikeWindow,
     TrafficConfig,
+    _choice_cdf,
+    _pick,
     _rate_segments,
     generate_traffic,
     user_stream,
@@ -161,9 +165,60 @@ class TestValidation:
             )
         with pytest.raises(ValueError):
             SpikeWindow(3.0, 2.0, 2.0)
+        for bad in (float("nan"), -1.0, float("inf")):
+            with pytest.raises(ValueError):
+                TrafficConfig(
+                    n_users=2, horizon=1.0, rate_per_user=1.0, seed=0,
+                    endpoint_mix=((Endpoint.GET_BALANCE, 1.0), (Endpoint.GET_TALLY, bad)),
+                )
+        with pytest.raises(ValueError):
+            TrafficConfig(
+                n_users=2, horizon=1.0, rate_per_user=1.0, seed=0,
+                endpoint_mix=((Endpoint.GET_BALANCE, 0.0), (Endpoint.GET_TALLY, 0.0)),
+            )
+        # A zero weight next to a positive one is a valid mix.
+        TrafficConfig(
+            n_users=2, horizon=1.0, rate_per_user=1.0, seed=0,
+            endpoint_mix=((Endpoint.GET_BALANCE, 0.0), (Endpoint.GET_TALLY, 2.0)),
+        )
 
     def test_user_stream_is_pure_function_of_seed_and_user(self):
         a = user_stream(42, 7).random(4).tolist()
         b = user_stream(42, 7).random(4).tolist()
         c = user_stream(42, 8).random(4).tolist()
         assert a == b != c
+
+
+class TestChoiceCdf:
+    @pytest.mark.parametrize("weights", [
+        [w for _, w in TrafficConfig(**BASE).endpoint_mix],
+        [0.5, 0.35, 0.15],
+    ])
+    def test_pick_equals_generator_choice(self, weights):
+        p = np.asarray(weights, dtype=float)
+        p = p / p.sum()
+        cdf = _choice_cdf(p)
+        ours, theirs = np.random.default_rng(99), np.random.default_rng(99)
+        picks = [_pick(ours, cdf) for _ in range(20_000)]
+        choices = [int(theirs.choice(len(p), p=p)) for _ in range(20_000)]
+        assert picks == choices
+        # One double per draw, as choice consumes: the streams stay aligned.
+        assert ours.random() == theirs.random()
+
+
+def test_pinned_traffic_digest():
+    # Byte identity of the generator's output: times, users, sequence
+    # numbers, payloads (malformed ones included) and trace ids.
+    config = TrafficConfig(
+        n_users=120, horizon=10.0, rate_per_user=1.0, seed=2022,
+        spikes=(SpikeWindow(3.0, 5.0, 4.0),), invalid_frac=0.2,
+    )
+    arrivals = generate_traffic(config)
+    digest = hashlib.sha256()
+    for a in arrivals:
+        line = f"{a.time.hex()}|{a.user}|{a.seq}|{a.request!r}|{a.trace_id}\n"
+        digest.update(line.encode())
+    assert len(arrivals) == 1939
+    assert digest.hexdigest() == (
+        "368b2c64c1e43abb98e9ae6bc35f7c015aca04674239334afe5a98b9e88d89fc"
+    )
