@@ -29,12 +29,11 @@ enforced).
 The **columnar tier** measures the struct-of-arrays agent-state core
 (:mod:`repro.world.columnar`) against the object/dict society it
 replaces, phase by phase: society build (typed columns + bulk identity
-registration vs dict genesis + per-agent loop), one epoch of ledger
-writes (``AgentTable.apply_transfers`` vs per-tx ``LedgerState.apply``),
-privacy-budget charging (the vectorized ``charge_many`` column kernel
-vs the dict loop), and the per-epoch trust-top readout (solved-vector
-``max`` vs materialising the full trust dict).  At the 10k tier the two
-implementations are asserted **exactly equivalent** — balances, nonces,
+registration vs dict genesis + per-agent loop), privacy-budget
+charging (the vectorized ``charge_many`` column kernel vs the dict
+loop), and the per-epoch trust-top readout (solved-vector ``max`` vs
+materialising the full trust dict).  At the 10k tier the two
+implementations are asserted **exactly equivalent** — genesis balances,
 budget accept/refuse decisions, bit-level spent accumulators, trust
 tops — and a columnar-vs-object ``run_load`` pair must produce
 byte-identical metrics; at the 100k tier the combined columnar speedup
@@ -878,17 +877,15 @@ def bench_sketch(smoke: bool) -> Dict[str, Any]:
 def bench_columnar_kernels(n_agents: int, smoke: bool) -> Dict[str, Any]:
     """The load phases, columnar vs the object/dict implementations.
 
-    Four phases, each timed best-of-``reps`` on identical pre-generated
-    data: society build, one epoch of ledger writes, one privacy-budget
-    charge batch, and the per-epoch trust-top readout.  At <= 10k agents
-    the two implementations are additionally asserted *exactly*
-    equivalent — every balance, nonce, accept/refuse decision, bit-level
-    spent accumulator, and trust top.  The object ledger loop pays the
-    full per-tx pipeline (``require_valid`` included) because that is
-    what each transaction costs on the dict path; transaction
-    construction is excluded from both sides.
+    Three phases, each timed best-of-``reps`` on identical pre-generated
+    data: society build, one privacy-budget charge batch, and the
+    per-epoch trust-top readout.  At <= 10k agents the two
+    implementations are additionally asserted *exactly* equivalent —
+    every genesis balance, accept/refuse decision, bit-level spent
+    accumulator, and trust top.  Ledger writes have no column kernel:
+    blocks apply transactions one at a time through ``LedgerState``.
 
-    ``combined_speedup`` covers the three *recurring* load phases — the
+    ``combined_speedup`` covers the two *recurring* load phases — the
     work an epoch repeats.  Society build is one-time setup, reported
     with its own speedup but not gated: both sides of it are dominated
     by building Python dict/set structures over 64-char address strings
@@ -927,69 +924,6 @@ def bench_columnar_kernels(n_agents: int, smoke: bool) -> Dict[str, Any]:
                 raise AssertionError("columnar genesis diverged from dict")
         if rep_col._eigentrust._identities != rep_obj._eigentrust._identities:
             raise AssertionError("bulk registration diverged from loop")
-
-    # -- one epoch of ledger writes: bulk column kernel vs per-tx apply
-    n_txs = max(500, n_agents // 25)
-    senders_idx = rng.integers(0, n_agents, size=n_txs)
-    recipients_idx = (
-        senders_idx + 1 + rng.integers(0, n_agents - 1, size=n_txs)
-    ) % n_agents
-    amounts = rng.integers(1, 100, size=n_txs)
-    fees = rng.integers(1, 10, size=n_txs)
-    # Consecutive nonces per sender in batch order (base nonces are 0).
-    order = np.argsort(senders_idx, kind="stable")
-    sorted_senders = senders_idx[order]
-    boundary = np.r_[True, sorted_senders[1:] != sorted_senders[:-1]]
-    starts = np.flatnonzero(boundary)
-    ranks = np.empty(n_txs, dtype=np.int64)
-    ranks[order] = np.arange(n_txs, dtype=np.int64) - starts[
-        np.cumsum(boundary) - 1
-    ]
-    nonces = ranks
-    stxs = [
-        synthetic_transfer(
-            addresses[s],
-            addresses[r],
-            amount=int(a),
-            fee=int(f),
-            nonce=int(nn),
-        )
-        for s, r, a, f, nn in zip(senders_idx, recipients_idx, amounts, fees, nonces)
-    ]
-    best_col = math.inf
-    for _ in range(reps):
-        fresh = AgentTable(addresses, initial_balance=1_000_000)
-        sink = np.zeros(1, dtype=np.int64)
-        t0 = time.perf_counter()
-        fresh.apply_transfers(
-            senders_idx, recipients_idx, amounts, fees, nonces=nonces, fee_sink=sink
-        )
-        best_col = min(best_col, time.perf_counter() - t0)
-    obj_reps = 1 if smoke or n_agents >= 100_000 else reps
-    best_obj = math.inf
-    for _ in range(obj_reps):
-        state = LedgerState({address: 1_000_000 for address in addresses})
-        t0 = time.perf_counter()
-        for stx in stxs:
-            state.apply(stx)
-        best_obj = min(best_obj, time.perf_counter() - t0)
-    ledger = {"n_txs": n_txs, "columnar_seconds": best_col, "object_seconds": best_obj}
-    if check:
-        table_eq = AgentTable(addresses, initial_balance=1_000_000)
-        sink = np.zeros(1, dtype=np.int64)
-        table_eq.apply_transfers(
-            senders_idx, recipients_idx, amounts, fees, nonces=nonces, fee_sink=sink
-        )
-        state_eq = LedgerState({address: 1_000_000 for address in addresses})
-        for stx in stxs:
-            state_eq.apply(stx)
-        for i, address in enumerate(addresses):
-            if state_eq.balance_of(address) != int(table_eq.balances[i]) or (
-                state_eq.nonce_of(address) != int(table_eq.nonces[i])
-            ):
-                raise AssertionError("bulk apply diverged from per-tx apply")
-        if int(sink[0]) != int(fees.sum()):
-            raise AssertionError("fee sink diverged from per-tx fee burn")
 
     # -- privacy-budget charging: vectorized column kernel vs dict loop
     n_hot = max(8, n_agents // 100)
@@ -1055,13 +989,12 @@ def bench_columnar_kernels(n_agents: int, smoke: bool) -> Dict[str, Any]:
 
     phases = {
         "society_build": society,
-        "ledger_epoch_apply": ledger,
         "budget_charge": budget,
         "trust_readout": trust,
     }
     for stats in phases.values():
         stats["speedup_vs_object"] = stats["object_seconds"] / stats["columnar_seconds"]
-    epoch_phases = ("ledger_epoch_apply", "budget_charge", "trust_readout")
+    epoch_phases = ("budget_charge", "trust_readout")
     col_total = sum(phases[name]["columnar_seconds"] for name in epoch_phases)
     obj_total = sum(phases[name]["object_seconds"] for name in epoch_phases)
     return {

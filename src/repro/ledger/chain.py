@@ -161,8 +161,21 @@ class Blockchain:
         """Assemble, validate, and append the next canonical block.
 
         If ``transactions`` is omitted, the block is filled from the
-        mempool.  Raises :class:`InvalidBlockError` if ``proposer`` is
-        not the consensus-expected proposer for the next height.
+        mempool: candidates are applied speculatively to a copy-on-write
+        overlay of the head state, and a candidate that raises is pruned
+        from the mempool instead of poisoning the block.  That overlay
+        then *is* the committed state of the block — each body
+        transaction is applied once, not again by :meth:`add_block`.
+        Because :meth:`LedgerState.apply` moves a contract call's value
+        before the contract runs, a dropped candidate may leave writes
+        behind; after any drop the overlay is rebuilt by replaying the
+        accepted transactions onto a fresh child of the head state, so
+        the committed state always equals the body re-applied to the
+        parent.  An explicit ``transactions`` list goes through
+        :meth:`add_block` unchanged.
+
+        Raises :class:`InvalidBlockError` if ``proposer`` is not the
+        consensus-expected proposer for the next height.
         """
         parent = self.head
         with self._obs.span(
@@ -172,17 +185,16 @@ class Blockchain:
             height=parent.height + 1,
             proposer=proposer,
         ) as span:
+            state: Optional[LedgerState] = None
             if transactions is None:
-                # Pre-execute candidates speculatively so one reverting
-                # contract call cannot poison every subsequent proposal.
                 candidates = self.mempool.select(self.state, max_count=max_txs)
                 # Copy-on-write overlay: speculation only pays for the keys
                 # the candidate transactions actually touch.
-                speculative = self.state.child()
-                executable = []
+                state = self.state.child()
+                executable: List[SignedTransaction] = []
                 for stx in candidates:
                     try:
-                        speculative.apply(stx, contract_executor=self.contracts)
+                        state.apply(stx, contract_executor=self.contracts)
                     except (InvalidTransactionError, ContractError):
                         self.mempool.prune_included([stx.tx_id])
                         self._obs.event(
@@ -191,6 +203,11 @@ class Blockchain:
                             time=timestamp,
                             tx_id=stx.tx_id,
                         )
+                        # The failed apply may have left writes behind
+                        # (a contract call's value moves before it runs).
+                        state = self.state.child()
+                        for accepted in executable:
+                            state.apply(accepted, contract_executor=self.contracts)
                     else:
                         executable.append(stx)
                 transactions = executable
@@ -203,7 +220,11 @@ class Blockchain:
             )
             span.set_attribute("n_txs", len(block.transactions))
             span.set_attribute("block_hash", block.block_hash)
-            self.add_block(block)
+            if state is None:
+                self.add_block(block)
+            else:
+                self._validate_header(block)
+                self._commit(block, state)
             self._obs.counter("ledger.blocks_produced").inc()
             self._obs.histogram("ledger.block_txs").observe(
                 float(len(block.transactions))
@@ -216,8 +237,29 @@ class Blockchain:
         Validation: structure (Merkle root, signatures, duplicates),
         parent linkage, height, monotonic timestamp, consensus proposer
         rule, and clean application of every transaction to the parent
-        state.  Accepting a block may move the head (fork choice).
+        state.  The body is always re-applied here: a block received
+        from elsewhere has no speculative state behind it (only
+        :meth:`propose_block` commits its own overlay).  Accepting a
+        block may move the head (fork choice).
         """
+        parent_state = self._validate_header(block)
+        # Copy-on-write snapshot over the (frozen) parent block state:
+        # appending a block is O(keys touched), not O(total accounts).
+        new_state = parent_state.child()
+        try:
+            for stx in block.transactions:
+                new_state.apply(stx, contract_executor=self.contracts)
+        except (InvalidTransactionError, ContractError) as exc:
+            self.rejected_blocks += 1
+            raise InvalidBlockError(
+                f"block {block.block_hash[:12]}: transaction failed ({exc})"
+            ) from exc
+        self._commit(block, new_state)
+
+    def _validate_header(self, block: Block) -> LedgerState:
+        """Every check on ``block`` except applying its body: novelty,
+        parent linkage, height, timestamp, structure and the consensus
+        proposer rule.  Returns the parent's state."""
         if block.block_hash in self._blocks:
             raise InvalidBlockError(f"block {block.block_hash[:12]} already known")
         parent = self._blocks.get(block.prev_hash)
@@ -247,22 +289,14 @@ class Blockchain:
 
         parent_state = self._states[block.prev_hash]
         self.consensus.validate(block, parent_state)
+        return parent_state
 
-        # Copy-on-write snapshot over the (frozen) parent block state:
-        # appending a block is O(keys touched), not O(total accounts).
-        new_state = parent_state.child()
-        try:
-            for stx in block.transactions:
-                new_state.apply(stx, contract_executor=self.contracts)
-        except (InvalidTransactionError, ContractError) as exc:
-            self.rejected_blocks += 1
-            raise InvalidBlockError(
-                f"block {block.block_hash[:12]}: transaction failed ({exc})"
-            ) from exc
-        new_state.credit_fees(block.proposer, block.total_fees)
-
+    def _commit(self, block: Block, state: LedgerState) -> None:
+        """Pay the proposer and store ``block`` with ``state`` (its body
+        already applied to a child of the parent state)."""
+        state.credit_fees(block.proposer, block.total_fees)
         self._blocks[block.block_hash] = block
-        self._states[block.block_hash] = new_state
+        self._states[block.block_hash] = state
         self._update_head(block)
         self.mempool.prune_included(block.tx_ids)
         self._obs.event(

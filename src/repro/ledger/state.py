@@ -41,19 +41,27 @@ class _CowMap(MutableMapping):
     """Mapping overlay: reads fall through to the parent snapshot,
     writes land in a local delta dict.
 
+    ``_layers`` holds the delta dicts of the whole overlay chain, newest
+    first, and ``_base`` the mapping under them (or None), so a read is
+    one pass over a short tuple instead of a walk up parent links.
+
     The parent is logically frozen once a child exists (the chain never
     mutates a committed block state); nothing enforces that, so do not
     hand a parent out for mutation after calling ``LedgerState.child``.
     """
 
-    __slots__ = ("_local", "_parent", "_depth")
+    __slots__ = ("_local", "_layers", "_base")
 
     def __init__(self, parent: Optional[Mapping] = None):
-        if isinstance(parent, _CowMap) and parent._depth >= _FLATTEN_DEPTH:
+        if isinstance(parent, _CowMap) and len(parent._layers) >= _FLATTEN_DEPTH:
             parent = parent._compacted()
-        self._parent = parent
         self._local: Dict = {}
-        self._depth = parent._depth + 1 if isinstance(parent, _CowMap) else 1
+        if isinstance(parent, _CowMap):
+            self._layers = (self._local,) + parent._layers
+            self._base = parent._base
+        else:
+            self._layers = (self._local,)
+            self._base = parent
 
     def _compacted(self):
         """Collapse the overlay chain to at most one layer.
@@ -64,55 +72,37 @@ class _CowMap(MutableMapping):
         table — stays the bottom layer untouched and only the overlay
         deltas fold into a single dict, keeping the flatten O(touched
         keys) instead of O(population)."""
-        layers = []
-        node: Any = self
-        while isinstance(node, _CowMap):
-            layers.append(node._local)
-            node = node._parent
-        if node is None or type(node) is dict:
-            base = dict(node) if node else {}
-            for local in reversed(layers):
-                base.update(local)
-            return base
-        deltas: Dict = {}
-        for local in reversed(layers):
-            deltas.update(local)
-        folded = type(self)(node)
-        folded._local = deltas
+        base = self._base
+        if base is None or type(base) is dict:
+            return self._merged()
+        folded = type(self)(base)
+        for local in reversed(self._layers):
+            folded._local.update(local)
         return folded
 
     def _merged(self) -> Dict:
         """Materialise the full mapping (newest layer wins)."""
-        layers = []
-        node: Any = self
-        while isinstance(node, _CowMap):
-            layers.append(node._local)
-            node = node._parent
-        base = dict(node) if node else {}
-        for local in reversed(layers):
-            base.update(local)
-        return base
+        merged = dict(self._base) if self._base else {}
+        for local in reversed(self._layers):
+            merged.update(local)
+        return merged
 
     def __getitem__(self, key):
-        node: Any = self
-        while isinstance(node, _CowMap):
-            value = node._local.get(key, _MISSING)
+        for local in self._layers:
+            value = local.get(key, _MISSING)
             if value is not _MISSING:
                 return value
-            node = node._parent
-        if node is not None:
-            return node[key]
+        if self._base is not None:
+            return self._base[key]
         raise KeyError(key)
 
     def get(self, key, default=None):
-        node: Any = self
-        while isinstance(node, _CowMap):
-            value = node._local.get(key, _MISSING)
+        for local in self._layers:
+            value = local.get(key, _MISSING)
             if value is not _MISSING:
                 return value
-            node = node._parent
-        if node is not None:
-            return node.get(key, default)
+        if self._base is not None:
+            return self._base.get(key, default)
         return default
 
     def __contains__(self, key) -> bool:
@@ -157,16 +147,13 @@ class _CowStorageMap(_CowMap):
         value = self._local.get(key, _MISSING)
         if value is not _MISSING:
             return value
-        node: Any = self._parent
-        while isinstance(node, _CowMap):
-            value = node._local.get(key, _MISSING)
+        for local in self._layers[1:]:
+            value = local.get(key, _MISSING)
             if value is not _MISSING:
                 break
-            node = node._parent
-        if value is _MISSING:
-            if node is None:
-                raise KeyError(key)
-            value = node.get(key, _MISSING)
+        else:
+            base = self._base
+            value = _MISSING if base is None else base.get(key, _MISSING)
             if value is _MISSING:
                 raise KeyError(key)
         value = _deep_copy_storage(value)
@@ -319,16 +306,29 @@ class LedgerState:
                 f"expected {expected_nonce}"
             )
         cost = tx.amount + tx.fee
-        if self.balance_of(tx.sender) < cost:
+        sender_balance = self.balance_of(tx.sender)
+        if sender_balance < cost:
             raise InvalidTransactionError(
                 f"insufficient balance for {tx.sender[:12]}: "
-                f"have {self.balance_of(tx.sender)}, need {cost}"
+                f"have {sender_balance}, need {cost}"
             )
 
         result: Optional[Dict[str, Any]] = None
         if tx.kind == TxKind.TRANSFER:
-            self._debit(tx.sender, tx.amount)
-            self._credit(tx.recipient, tx.amount)
+            # One read per account: the solvency check above covers both
+            # the amount and the fee, so neither debit can fail.  Same
+            # values and write order (sender, then recipient) as debit,
+            # credit, fee.
+            sender, recipient = tx.sender, tx.recipient
+            balances = self.balances
+            if recipient == sender:
+                balances[sender] = sender_balance - tx.fee
+            else:
+                balances[sender] = sender_balance - tx.amount - tx.fee
+                if recipient:
+                    balances[recipient] = self.balance_of(recipient) + tx.amount
+            self.nonces[sender] = expected_nonce + 1
+            return None
         elif tx.kind == TxKind.RECORD:
             self.records.append({"sender": tx.sender, **tx.payload})
         elif tx.kind == TxKind.STAKE:

@@ -107,8 +107,64 @@ class Transaction:
 
     @cached_property
     def signing_bytes(self) -> bytes:
-        """The exact bytes a wallet signs."""
-        return canonical_encode(self.to_dict())
+        """The exact bytes a wallet signs: ``canonical_encode(to_dict())``.
+
+        Assembled from precomputed key frames instead of the recursive
+        walk; only a non-empty payload goes through the generic encoder.
+        Fields of any other type (a bool or numpy amount, a non-str
+        address) take the generic path, so they encode — or raise
+        :class:`~repro.ledger.encoding.EncodingError` — exactly as it
+        does.
+        """
+        amount, fee, nonce = self.amount, self.fee, self.nonce
+        sender, recipient, payload = self.sender, self.recipient, self.payload
+        if not (
+            type(amount) is int
+            and type(fee) is int
+            and type(nonce) is int
+            and type(sender) is str
+            and type(recipient) is str
+            and type(self.kind) is TxKind
+        ):
+            return canonical_encode(self.to_dict())
+        amount_text = b"%d" % amount
+        fee_text = b"%d" % fee
+        nonce_text = b"%d" % nonce
+        recipient_text = recipient.encode("utf-8")
+        sender_text = sender.encode("utf-8")
+        body = b"".join((
+            _AMOUNT_HEAD, len(amount_text).to_bytes(8, "big"), amount_text,
+            _FEE_KEY, len(fee_text).to_bytes(8, "big"), fee_text,
+            _KIND_FRAMES[self.kind], len(nonce_text).to_bytes(8, "big"),
+            nonce_text,
+            _PAYLOAD_KEY,
+            canonical_encode(payload)
+            if payload or type(payload) is not dict
+            else _EMPTY_PAYLOAD,
+            _RECIPIENT_KEY, len(recipient_text).to_bytes(8, "big"),
+            recipient_text,
+            _SENDER_KEY, len(sender_text).to_bytes(8, "big"), sender_text,
+        ))
+        return b"D" + len(body).to_bytes(8, "big") + body
+
+
+# Frames of ``canonical_encode(Transaction.to_dict())`` that do not depend
+# on field values, in sorted key order (amount, fee, kind, nonce, payload,
+# recipient, sender).  Each ends with the tag of the value frame that
+# follows it, so only lengths and values are left to append.
+_AMOUNT_HEAD = (7).to_bytes(8, "big") + canonical_encode("amount") + b"I"
+_FEE_KEY = canonical_encode("fee") + b"I"
+_KIND_FRAMES = {
+    kind: canonical_encode("kind")
+    + canonical_encode(kind.value)
+    + canonical_encode("nonce")
+    + b"I"
+    for kind in TxKind
+}
+_PAYLOAD_KEY = canonical_encode("payload")
+_EMPTY_PAYLOAD = canonical_encode({})
+_RECIPIENT_KEY = canonical_encode("recipient") + b"S"
+_SENDER_KEY = canonical_encode("sender") + b"S"
 
 
 @dataclass(frozen=True)

@@ -96,21 +96,24 @@ class DisclosureIndicator:
 
     def __init__(self) -> None:
         self._active: Dict[str, int] = {}
+        # Open collections summed over channels: the LED is on iff > 0.
+        self._live = 0
         self._history: List[_IndicatorEvent] = []
 
     @property
     def is_on(self) -> bool:
-        return any(count > 0 for count in self._active.values())
+        return self._live > 0
 
     @property
     def active_channels(self) -> Tuple[str, ...]:
         return tuple(sorted(c for c, n in self._active.items() if n > 0))
 
     def collection_started(self, channel: str, time: float) -> None:
-        was_on = self.is_on
         self._active[channel] = self._active.get(channel, 0) + 1
-        if not was_on:
-            self._record(time)
+        self._live += 1
+        if self._live == 1:
+            # Off -> on: ``channel`` is the only one collecting.
+            self._history.append(_IndicatorEvent(time, True, (channel,)))
 
     def collection_stopped(self, channel: str, time: float) -> None:
         if self._active.get(channel, 0) <= 0:
@@ -118,13 +121,9 @@ class DisclosureIndicator:
                 f"collection_stopped({channel!r}) without matching start"
             )
         self._active[channel] -= 1
-        if not self.is_on:
-            self._record(time)
-
-    def _record(self, time: float) -> None:
-        self._history.append(
-            _IndicatorEvent(time=time, on=self.is_on, active_channels=self.active_channels)
-        )
+        self._live -= 1
+        if not self._live:
+            self._history.append(_IndicatorEvent(time, False, ()))
 
     def was_on_at(self, time: float) -> bool:
         """Replay the history: was the LED on at ``time``?"""
